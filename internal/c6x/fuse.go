@@ -2,6 +2,7 @@ package c6x
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -21,13 +22,20 @@ import (
 // in-flight writeback window and (for the registers in
 // FuseConfig.ConstRegs) MVK/MVKH-built constants symbolically, forking
 // compiled segments at predicated branches and chaining them at
-// resolved ones. Anything outside the contract — a read of an
-// in-flight register, an unresolvable indirect branch, an op with no
-// kernel, overlapping branches — ends the segment with a deoptimization
-// exit that materializes the exact interpreter state (pc, pending
-// writebacks, branch state, clocks, stats) and hands control back to
-// the generic engines, which reproduce the oracle behavior including
-// its error texts. Bit-identity with Step is the invariant every
+// resolved ones. An unpredicated indirect branch through a register
+// with no known constant (a return through a link register reloaded
+// from the stack) captures its target at issue and dispatches at run
+// time where it fires: a per-site table of continuations, one per
+// packet index the program MVKs into that register, keeps the in-flight
+// window symbolic; a miss chains to the target's clean entry or
+// materializes the state there (see termIndirect). Anything outside the
+// contract — a read of an in-flight register, a predicated indirect
+// branch without a known target, an op with no kernel, overlapping
+// branches — ends the segment with a deoptimization exit that
+// materializes the exact interpreter state (pc, pending writebacks,
+// branch state, clocks, stats) and hands control back to the generic
+// engines, which reproduce the oracle behavior including its error
+// texts. Bit-identity with Step is the invariant every
 // fusing rule below preserves; the differential tests in fuse_test.go
 // and the platform matrix enforce it.
 //
@@ -47,6 +55,21 @@ const (
 	// fuseDefaultMaxSegments bounds the total compiled segments
 	// (distinct packet × machine-state pairs) before Fuse gives up.
 	fuseDefaultMaxSegments = 16384
+	// fuseMaxIndirectTargets bounds the candidate targets of one
+	// run-time-target branch register; a register loaded with more
+	// distinct packet indices gets an empty table (every firing misses).
+	fuseMaxIndirectTargets = 8
+)
+
+// fnext sentinels: the segment's terminal left fused execution.
+const (
+	// fnextExit: the state is materialized mid-region; the generic
+	// engine continues from it.
+	fnextExit int32 = -1
+	// fnextLanded: the state is materialized at a region start the
+	// trace branched to at run time; StepFused performs the boundary
+	// actions the generic loop performs after its landing step.
+	fnextLanded int32 = -2
 )
 
 // FuseConfig parameterizes superblock compilation.
@@ -78,11 +101,26 @@ type finflight struct {
 	pred bool
 }
 
-// fbr is the symbolic branch-delay state.
+// fbr is the symbolic branch-delay state. A run-time-target branch (rt)
+// holds its target in Sim.fbrTgt, captured at issue from reg.
 type fbr struct {
 	valid bool
+	rt    bool
+	reg   Reg
 	tgt   int
 	cnt   int
+}
+
+// restore materializes a pending branch into the interpreter state.
+func (br fbr) restore(s *Sim) {
+	if !br.valid {
+		return
+	}
+	tgt := br.tgt
+	if br.rt {
+		tgt = s.fbrTgt
+	}
+	s.brValid, s.brTgt, s.brCnt = true, tgt, br.cnt
 }
 
 // ffact is a known register constant (MVK/MVKH tracking).
@@ -109,11 +147,15 @@ func (st *fstate) key() string {
 		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
 	put(uint32(st.pkt))
-	if st.br.valid {
+	switch {
+	case st.br.rt:
+		b = append(b, 2, byte(st.br.reg))
+		put(uint32(st.br.cnt))
+	case st.br.valid:
 		b = append(b, 1)
 		put(uint32(st.br.tgt))
 		put(uint32(st.br.cnt))
-	} else {
+	default:
 		b = append(b, 0)
 	}
 	b = append(b, byte(len(st.inflight)))
@@ -182,6 +224,7 @@ type fuser struct {
 	index   map[string]int32
 	work    []int32
 	seeds   map[int]int32 // seed packet -> segment index
+	targets map[Reg][]int // run-time-target branch candidates per register
 }
 
 // Fuse compiles prog into superblock segments. Programs with malformed
@@ -200,6 +243,7 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		maxSegs: cfg.MaxSegments,
 		index:   map[string]int32{},
 		seeds:   map[int]int32{},
+		targets: map[Reg][]int{},
 	}
 	if f.maxSegs <= 0 {
 		f.maxSegs = fuseDefaultMaxSegments
@@ -365,12 +409,14 @@ type fplan struct {
 
 	condBr    bool // predicated branch issued (fork at terminal)
 	brTgt     int  // static branch target if a branch issues
+	brRT      bool // the issued branch's target is read at run time from brReg
+	brReg     Reg
 	halt      bool // unpredicated HALT
 	haltCond  bool // predicated HALT
 	fired     bool // unpredicated branch fires at this packet's end
-	firedTgt  int
-	brAfter   fbr // branch state after this packet (not-taken path for condBr)
-	brTaken   fbr // branch state after this packet on the taken path (condBr)
+	firedBr   fbr  // the branch that fires
+	brAfter   fbr  // branch state after this packet (not-taken path for condBr)
+	brTaken   fbr  // branch state after this packet on the taken path (condBr)
 	killFacts []Reg
 	setFact   *ffact
 	next      int // fallthrough packet
@@ -481,10 +527,14 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 					tgt = int(in.Src1.Imm)
 				} else {
 					v, known := c.fact(in.Src1.Reg)
-					if !known {
-						return pl, false // unresolvable indirect branch
+					switch {
+					case known:
+						tgt = int(int32(v))
+					case in.Pred.Valid:
+						return pl, false // predicated, target unknown: generic
+					default:
+						pl.brRT, pl.brReg = true, in.Src1.Reg
 					}
-					tgt = int(int32(v))
 				}
 			}
 			pl.brTgt = tgt
@@ -638,17 +688,20 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 	// Branch bookkeeping after this packet.
 	pl.brAfter = c.br
 	if branches == 1 && !pl.condBr {
-		pl.brAfter = fbr{valid: true, tgt: pl.brTgt, cnt: BranchDelay + 1}
+		pl.brAfter = fbr{valid: true, rt: pl.brRT, reg: pl.brReg, tgt: pl.brTgt, cnt: BranchDelay + 1}
 	}
 	if pl.brAfter.valid {
 		pl.brAfter.cnt -= int(pl.busyEff)
 		if pl.brAfter.cnt <= 0 {
 			if !pl.condBr {
 				pl.fired = true
-				pl.firedTgt = pl.brAfter.tgt
+				pl.firedBr = pl.brAfter
 			}
 			pl.brAfter = fbr{}
 		}
+	}
+	if pl.fired && pl.firedBr.rt && (pl.halt || pl.haltCond) {
+		return pl, false // a HALT in a run-time branch's last delay slot: generic
 	}
 	if pl.condBr {
 		pl.brTaken = fbr{valid: true, tgt: pl.brTgt, cnt: BranchDelay + 1 - int(pl.busyEff)}
@@ -733,7 +786,7 @@ func (c *fctx) terminal(pkt int, pl fplan) bool {
 		c.br = pl.brAfter
 		exitPC := pl.next
 		if pl.fired {
-			exitPC = pl.firedTgt
+			exitPC = pl.firedBr.tgt
 		}
 		c.exitHalt(exitPC)
 		return true
@@ -744,7 +797,7 @@ func (c *fctx) terminal(pkt int, pl fplan) bool {
 		c.br = pl.brAfter
 		next := pl.next
 		if pl.fired {
-			next = pl.firedTgt
+			next = pl.firedBr.tgt
 		}
 		c.termHaltCond(next, c.stateAt(next))
 		return true
@@ -757,7 +810,11 @@ func (c *fctx) terminal(pkt int, pl fplan) bool {
 		return true
 	case pl.fired:
 		c.br = fbr{}
-		c.termJump(c.stateAt(pl.firedTgt))
+		if pl.firedBr.rt {
+			c.termIndirect(pl.firedBr.reg)
+		} else {
+			c.termJump(c.stateAt(pl.firedBr.tgt))
+		}
 		return true
 	default:
 		c.br = pl.brAfter
@@ -765,37 +822,45 @@ func (c *fctx) terminal(pkt int, pl fplan) bool {
 	}
 }
 
-// take drains the accounting accumulators for a terminal/sync op.
-func (c *fctx) take() (cyc, pkts, insts, nop int64) {
-	cyc, pkts, insts, nop = c.accCyc, c.accPkts, c.accInsts, c.accNop
-	c.accCyc, c.accPkts, c.accInsts, c.accNop = 0, 0, 0, 0
-	c.memSeen = false
-	return
+// facc is a folded accounting constant: the constant part of every
+// interpreted packet epilogue since the last synchronization point.
+type facc struct{ cyc, pkts, insts, nop int64 }
+
+// apply folds a into the Sim, paid once per sync point. Memory stalls
+// collected in fstall freeze the cycle clock exactly like the
+// interpreter's per-packet stall accounting.
+func (a facc) apply(s *Sim) {
+	s.cycle += a.cyc + s.fstall
+	s.busy += a.cyc
+	s.stats.StallCycles += s.fstall
+	s.fstall = 0
+	s.stats.Packets += a.pkts
+	s.stats.Instructions += a.insts
+	s.stats.NopCycles += a.nop
 }
 
-// emitSync folds the accumulated constants into the Sim — the constant
-// part of every interpreted packet epilogue since the last sync point,
-// paid once. Memory stalls collected in fstall freeze the cycle clock
-// exactly like the interpreter's per-packet stall accounting.
+// take drains the accounting accumulators for a terminal/sync op.
+func (c *fctx) take() facc {
+	a := facc{c.accCyc, c.accPkts, c.accInsts, c.accNop}
+	c.accCyc, c.accPkts, c.accInsts, c.accNop = 0, 0, 0, 0
+	c.memSeen = false
+	return a
+}
+
+// emitSync folds the accumulated constants into the Sim.
 func (c *fctx) emitSync() {
 	if c.accCyc == 0 && c.accPkts == 0 && !c.memSeen {
 		return
 	}
-	cyc, pkts, insts, nop := c.take()
+	acc := c.take()
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		acc.apply(s)
 		return nil
 	})
 }
 
-// flushOps returns the runtime flush of the current in-flight window
-// (rels rebased to the exit's busy clock).
+// flushList returns the current in-flight window with rels rebased to
+// the exit's busy clock.
 func (c *fctx) flushList() []finflight {
 	var fl []finflight
 	for _, fi := range c.inflight {
@@ -805,92 +870,64 @@ func (c *fctx) flushList() []finflight {
 	return fl
 }
 
+// materialize appends an in-flight window (rels relative to the current
+// busy clock) to the interpreter's pending list.
+func materialize(s *Sim, fl []finflight) {
+	for _, fi := range fl {
+		if fi.pred && !s.fslotOn[fi.slot] {
+			continue
+		}
+		s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
+	}
+}
+
 // exitDeopt materializes the exact interpreter state at pkt and leaves
-// fused execution (fnext = -1).
+// fused execution.
 func (c *fctx) exitDeopt(pkt int) {
-	cyc, pkts, insts, nop := c.take()
+	acc := c.take()
 	fl := c.flushList()
 	br := c.br
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
-		for _, fi := range fl {
-			if fi.pred && !s.fslotOn[fi.slot] {
-				continue
-			}
-			s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
-		}
+		acc.apply(s)
+		materialize(s, fl)
 		s.pc = pkt
-		if br.valid {
-			s.brValid, s.brTgt, s.brCnt = true, br.tgt, br.cnt
-		}
-		s.fnext = -1
+		br.restore(s)
+		s.fnext = fnextExit
 		return nil
 	})
 }
 
 // exitHalt materializes the halted state (HALT executed this packet).
 func (c *fctx) exitHalt(exitPC int) {
-	cyc, pkts, insts, nop := c.take()
+	acc := c.take()
 	fl := c.flushList()
 	br := c.br
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		acc.apply(s)
 		s.halted = true
-		for _, fi := range fl {
-			if fi.pred && !s.fslotOn[fi.slot] {
-				continue
-			}
-			s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
-		}
+		materialize(s, fl)
 		s.pc = exitPC
-		if br.valid {
-			s.brValid, s.brTgt, s.brCnt = true, br.tgt, br.cnt
-		}
-		s.fnext = -1
+		br.restore(s)
+		s.fnext = fnextExit
 		return nil
 	})
 }
 
 // termHaltCond forks at run time on whether the guarded HALT executed.
 func (c *fctx) termHaltCond(exitPC int, fall int32) {
-	cyc, pkts, insts, nop := c.take()
+	acc := c.take()
 	fl := c.flushList()
 	br := c.br
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		acc.apply(s)
 		if !s.halted {
 			s.fnext = fall
 			return nil
 		}
-		for _, fi := range fl {
-			if fi.pred && !s.fslotOn[fi.slot] {
-				continue
-			}
-			s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
-		}
+		materialize(s, fl)
 		s.pc = exitPC
-		if br.valid {
-			s.brValid, s.brTgt, s.brCnt = true, br.tgt, br.cnt
-		}
-		s.fnext = -1
+		br.restore(s)
+		s.fnext = fnextExit
 		return nil
 	})
 }
@@ -898,15 +935,9 @@ func (c *fctx) termHaltCond(exitPC int, fall int32) {
 // termCond forks on the predicated branch issued this packet (fcond0
 // was set by its issue op).
 func (c *fctx) termCond(taken, fall int32) {
-	cyc, pkts, insts, nop := c.take()
+	acc := c.take()
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		acc.apply(s)
 		if s.fcond0 {
 			s.fnext = taken
 		} else {
@@ -918,18 +949,83 @@ func (c *fctx) termCond(taken, fall int32) {
 
 // termJump chains to the next segment.
 func (c *fctx) termJump(next int32) {
-	cyc, pkts, insts, nop := c.take()
+	acc := c.take()
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		acc.apply(s)
 		s.fnext = next
 		return nil
 	})
+}
+
+// termIndirect ends the segment where a run-time-target branch through
+// reg fires (its target was captured into fbrTgt at issue). Each
+// candidate target has a continuation compiled with the current
+// in-flight window, so a return to a known call site stays fused with
+// its writebacks still symbolic. A miss chains to the target's clean
+// entry when nothing is in flight; otherwise it materializes the window
+// and exits at the target, flagging a landing on a region start so the
+// boundary actions still run there.
+func (c *fctx) termIndirect(reg Reg) {
+	cands := c.f.indirectTargets(reg)
+	conts := make([]int32, len(cands))
+	for i, t := range cands {
+		conts[i] = c.stateAt(t)
+	}
+	acc := c.take()
+	fl := c.flushList()
+	regionOf := c.f.cfg.RegionOf
+	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+		acc.apply(s)
+		tgt := s.fbrTgt
+		for i, t := range cands {
+			if t == tgt {
+				s.eng.IndirectHits++
+				s.fnext = conts[i]
+				return nil
+			}
+		}
+		s.eng.IndirectMisses++
+		if len(fl) == 0 {
+			if si := s.fused.entryAt(tgt); si >= 0 {
+				s.fnext = si
+				return nil
+			}
+		}
+		materialize(s, fl)
+		s.pc = tgt
+		s.fnext = fnextExit
+		if tgt >= 0 && tgt < len(regionOf) && regionOf[tgt] >= 0 {
+			s.fnext = fnextLanded
+		}
+		return nil
+	})
+}
+
+// indirectTargets returns the candidate targets of a run-time-target
+// branch through r: the in-range packet indices the program MVKs into
+// r (a link register's return sites). Empty above
+// fuseMaxIndirectTargets.
+func (f *fuser) indirectTargets(r Reg) []int {
+	if t, ok := f.targets[r]; ok {
+		return t
+	}
+	var t []int
+	for _, pk := range f.prog.Packets {
+		for _, in := range pk.Insts {
+			if in.Op != MVK || in.Dst != r {
+				continue
+			}
+			v := int(int32(int16(in.Src2.Imm)))
+			if v >= 0 && v < len(f.prog.Packets) && !slices.Contains(t, v) {
+				t = append(t, v)
+			}
+		}
+	}
+	if len(t) > fuseMaxIndirectTargets {
+		t = nil
+	}
+	f.targets[r] = t
+	return t
 }
 
 // emitInst lowers one instruction. w is its planned write (nil for
@@ -954,7 +1050,20 @@ func (c *fctx) emitInst(pkt int, in Inst, w *fwrite) {
 		return
 	case in.Op == BPKT || in.Op == BREG:
 		if !in.Pred.Valid {
-			return // fully static: accounting folded, target known
+			// Accounting is folded, and a static target is known to the
+			// fuser. A run-time target (plan's brRT) is captured here; a
+			// same-packet writer of the register goes through a slot, so
+			// Regs holds the packet-start value.
+			if in.Op == BREG && !in.Src1.IsImm {
+				if _, known := c.fact(in.Src1.Reg); !known {
+					r := in.Src1.Reg
+					c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+						s.fbrTgt = int(int32(s.Regs[r]))
+						return nil
+					})
+				}
+			}
+			return
 		}
 		pr, neg := in.Pred.Reg, in.Pred.Neg
 		c.seg.ops = append(c.seg.ops, func(s *Sim) error {

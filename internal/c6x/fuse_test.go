@@ -280,7 +280,7 @@ func TestFusedMatchesInterpreterErrors(t *testing.T) {
 
 // TestFusedBREGFactResolution: MVK/MVKH-built indirect branch targets in
 // tracked registers are resolved statically and stay fused; untracked
-// ones deoptimize to the generic engine with identical results.
+// ones take the run-time-target path with identical results.
 func TestFusedBREGFactResolution(t *testing.T) {
 	packets := []Packet{
 		pk(Inst{Op: MVK, Unit: S1, Dst: B(3), Src2: Imm(8)}),
@@ -303,7 +303,7 @@ func TestFusedBREGFactResolution(t *testing.T) {
 			t.Fatalf("A1 = %d, want 1", fs.Reg(A(1)))
 		}
 	})
-	t.Run("untracked-deopts", func(t *testing.T) {
+	t.Run("untracked-runtime-target", func(t *testing.T) {
 		runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0, 8)}, packets...)
 	})
 }
@@ -341,6 +341,208 @@ func TestFusedBREGStaysFused(t *testing.T) {
 	}
 	if s.Reg(A(1)) != 10 {
 		t.Fatalf("A1 = %d, want 10 iterations", s.Reg(A(1)))
+	}
+}
+
+// recursiveReturnProg is a recursive routine in the translator's shape:
+// calls park the return packet in B11 with an MVK, the callee spills B11
+// to a stack frame and reloads it before returning through it, so the
+// return target is unknown at fuse time. With dummyLoad the return's last
+// delay slot issues a load still in flight when the branch fires, like the
+// Level3 sync drain.
+func recursiveReturnProg(dummyLoad bool) []Packet {
+	last := pk(Inst{Op: NOP, NopCycles: 5})
+	if dummyLoad {
+		last = pk(Inst{Op: NOP, NopCycles: 4})
+	}
+	return []Packet{
+		pk(Inst{Op: MVK, Unit: S2, Dst: B(15), Src2: Imm(0x400)}), // 0: sp
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(4), Src2: Imm(3)}),      // 1: n
+		pk(Inst{Op: MVK, Unit: S2, Dst: B(11), Src2: Imm(5)}),     // 2: return site
+		pk(Inst{Op: BPKT, Unit: S1, Target: 7}),                   // 3: call f
+		pk(Inst{Op: NOP, NopCycles: 5}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(6), Src1: R(A(5)), Src2: Imm(100)}), // 5: return site
+		pk(Inst{Op: HALT}),
+		// f (7): push B11; if n == 0 return; n--; call f; count; return.
+		pk(Inst{Op: SUB, Unit: L2, Dst: B(15), Src1: R(B(15)), Src2: Imm(4)}),
+		pk(Inst{Op: STW, Unit: D2, Data: B(11), Src1: R(B(15)), Src2: Imm(0)}),
+		pk(Inst{Op: BPKT, Unit: S1, Target: 16, Pred: Pred{Valid: true, Reg: A(4), Neg: true}}), // 9
+		pk(Inst{Op: NOP, NopCycles: 5}),
+		pk(Inst{Op: SUB, Unit: L1, Dst: A(4), Src1: R(A(4)), Src2: Imm(1)}), // 11
+		pk(Inst{Op: MVK, Unit: S2, Dst: B(11), Src2: Imm(15)}),              // return site
+		pk(Inst{Op: BPKT, Unit: S1, Target: 7}),                             // recursive call
+		pk(Inst{Op: NOP, NopCycles: 5}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(5), Src1: R(A(5)), Src2: Imm(1)}),   // 15: return site
+		pk(Inst{Op: LDW, Unit: D2, Dst: B(11), Src1: R(B(15)), Src2: Imm(0)}), // 16: reload
+		pk(Inst{Op: NOP, NopCycles: 4}),
+		pk(Inst{Op: ADD, Unit: L2, Dst: B(15), Src1: R(B(15)), Src2: Imm(4)}),
+		pk(Inst{Op: BREG, Unit: S2, Src1: R(B(11))}), // 19: return
+		last,
+		pk(Inst{Op: LDW, Unit: D1, Dst: A(31), Src1: Imm(0x100), Src2: Imm(0)}), // 21 (dummyLoad only)
+	}
+}
+
+// TestFusedRecursiveReturn: returns through a register reloaded from
+// memory dispatch at run time into per-site continuations — both with
+// nothing in flight and with a load in flight across the return — and
+// stay fused: every return hits its table, and no packet runs in the
+// generic engines.
+func TestFusedRecursiveReturn(t *testing.T) {
+	for _, dummyLoad := range []bool{false, true} {
+		packets := recursiveReturnProg(dummyLoad)
+		for _, tracked := range []bool{false, true} {
+			cfg := FuseConfig{RegionOf: regions(len(packets), 0, 5, 7, 11, 15, 16)}
+			if tracked {
+				cfg.ConstRegs = []Reg{B(11)} // tracked, but the reload kills the fact
+			}
+			_, fs := runTriple(t, cfg, packets...)
+			if fs.Reg(A(6)) != 103 {
+				t.Fatalf("A6 = %d, want 103", fs.Reg(A(6)))
+			}
+			ec := fs.EngineCounters()
+			if ec.IndirectHits != 4 || ec.IndirectMisses != 0 || ec.GenericPackets != 0 {
+				t.Fatalf("dummyLoad=%v tracked=%v: %+v, want 4 hits, no misses, no generic packets", dummyLoad, tracked, ec)
+			}
+		}
+	}
+}
+
+// TestFusedIndirectMiss: run-time targets outside the candidate table —
+// a computed register, or one loaded with more distinct packet indices
+// than the table holds — landing on a region start, on a mid-region
+// packet and off the program, with nothing in flight, with a load in
+// flight, and with a HALT in the branch's last delay slot (which stays
+// with the generic engine).
+func TestFusedIndirectMiss(t *testing.T) {
+	delays := map[string][2]Packet{ // packets 3 and 4: the delay slots after packet 2
+		"nothing-in-flight": {pk(Inst{Op: NOP, NopCycles: 5}), pk(Inst{Op: NOP})},
+		"load-in-flight":    {pk(Inst{Op: NOP, NopCycles: 4}), pk(Inst{Op: LDW, Unit: D1, Dst: A(31), Src1: Imm(0x100), Src2: Imm(0)})},
+		"halt-in-last-slot": {pk(Inst{Op: NOP, NopCycles: 4}), pk(Inst{Op: HALT})},
+	}
+	for name, delay := range delays {
+		for _, tgt := range []int32{7, 8, 99} {
+			for _, extra := range []int{0, fuseMaxIndirectTargets + 1} {
+				packets := []Packet{
+					pk(Inst{Op: MVK, Unit: S2, Dst: B(4), Src2: Imm(tgt)}),              // 0
+					pk(Inst{Op: ADD, Unit: L2, Dst: B(5), Src1: R(B(4)), Src2: Imm(0)}), // 1: computed target
+					pk(Inst{Op: BREG, Unit: S2, Src1: R(B(5))}),                         // 2
+					delay[0],
+					delay[1],
+					pk(Inst{Op: MVK, Unit: S1, Dst: A(9), Src2: Imm(9)}), // 5: skipped
+					pk(Inst{Op: HALT}), // 6: skipped
+					pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(1)}), // 7: region start
+					pk(Inst{Op: MVK, Unit: S1, Dst: A(2), Src2: Imm(2)}), // 8: mid-region
+					pk(Inst{Op: HALT}),
+				}
+				for i := 0; i < extra; i++ { // unreachable candidates for B5
+					packets = append(packets, pk(Inst{Op: MVK, Unit: S2, Dst: B(5), Src2: Imm(int32(i))}))
+				}
+				_, fs := runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0, 7)}, packets...)
+				wantMisses := int64(1)
+				if name == "halt-in-last-slot" {
+					wantMisses = 0
+				}
+				if ec := fs.EngineCounters(); ec.IndirectMisses != wantMisses || ec.IndirectHits != 0 {
+					t.Fatalf("%s tgt=%d extra=%d: %+v, want %d misses and no hits", name, tgt, extra, ec, wantMisses)
+				}
+			}
+		}
+	}
+}
+
+// boundaryLog is one hook observation of runHooked.
+type boundaryLog struct {
+	pc    int
+	cycle int64
+	stats Stats
+}
+
+// runHooked drives s the way the platform's quantum loop does: fused
+// segments where the state allows, generic steps otherwise, and the
+// boundary hook after every generic step that lands on a region start
+// and does not halt (StepFused fires it at the boundaries it crosses
+// itself). The hook
+// logs each boundary and, at the deliver-th one, delivers an interrupt:
+// it parks the pc in B27 and redirects to handler.
+func runHooked(t *testing.T, s *Sim, regionOf []int32, deliver, handler int) []boundaryLog {
+	t.Helper()
+	var log []boundaryLog
+	hook := func() (bool, error) {
+		log = append(log, boundaryLog{s.PC(), s.Cycle(), s.Stats()})
+		if len(log) == deliver {
+			s.SetReg(B(27), uint32(s.PC()))
+			s.SetPC(handler)
+		}
+		return false, nil
+	}
+	for steps := 0; !s.Halted(); steps++ {
+		if steps > 10_000 {
+			t.Fatal("runaway")
+		}
+		if s.FusedEntryOK() {
+			if _, err := s.StepFused(hook); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if pc := s.PC(); !s.Halted() && pc >= 0 && pc < len(regionOf) && regionOf[pc] >= 0 {
+			if _, err := hook(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return log
+}
+
+// TestFusedIndirectLandingHook: a run-time branch that misses with a load
+// in flight exits onto a region start; the hook must still fire there
+// exactly as after the generic engine's landing step — swept over every
+// boundary as the interrupt delivery point, the landing included.
+func TestFusedIndirectLandingHook(t *testing.T) {
+	packets := []Packet{
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(8), Src2: Imm(3)}),                    // 0: loop count
+		pk(Inst{Op: MVK, Unit: S2, Dst: B(4), Src2: Imm(7)}),                    // 1
+		pk(Inst{Op: ADD, Unit: L2, Dst: B(5), Src1: R(B(4)), Src2: Imm(0)}),     // 2: computed target
+		pk(Inst{Op: SUB, Unit: L1, Dst: A(8), Src1: R(A(8)), Src2: Imm(1)}),     // 3: loop head
+		pk(Inst{Op: BREG, Unit: S2, Src1: R(B(5))}),                             // 4
+		pk(Inst{Op: NOP, NopCycles: 4}),                                         // 5
+		pk(Inst{Op: LDW, Unit: D1, Dst: A(31), Src1: Imm(0x100), Src2: Imm(0)}), // 6: in flight at the landing
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(9), Src1: R(A(9)), Src2: Imm(1)}),     // 7: landing (region start)
+		pk(Inst{Op: BPKT, Unit: S1, Target: 3, Pred: Pred{Valid: true, Reg: A(8)}}),
+		pk(Inst{Op: NOP, NopCycles: 5}),
+		pk(Inst{Op: HALT}),                                                    // 10
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(12), Src1: R(A(12)), Src2: Imm(1)}), // 11: handler
+		pk(Inst{Op: BREG, Unit: S2, Src1: R(B(27))}),                          // return from interrupt
+		pk(Inst{Op: NOP, NopCycles: 5}),
+	}
+	const handler = 11
+	regionOf := regions(len(packets), 0, 3, 7, 10, handler)
+	for deliver := 0; deliver <= 8; deliver++ {
+		is := NewSim(&Program{Packets: packets}, newTestMem())
+		want := runHooked(t, is, regionOf, deliver, handler)
+
+		fprog := &Program{Packets: packets}
+		fs := NewSim(fprog, newTestMem())
+		if err := fs.UseFused(mustFuse(t, fprog, FuseConfig{RegionOf: regionOf})); err != nil {
+			t.Fatal(err)
+		}
+		got := runHooked(t, fs, regionOf, deliver, handler)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("deliver=%d: boundary sequence diverged:\n  interp: %+v\n  fused:  %+v", deliver, want, got)
+		}
+		if is.Regs != fs.Regs || is.Cycle() != fs.Cycle() || is.Stats() != fs.Stats() || is.PC() != fs.PC() {
+			t.Fatalf("deliver=%d: state divergence:\n  interp: cycle=%d pc=%d %+v\n  fused:  cycle=%d pc=%d %+v",
+				deliver, is.Cycle(), is.PC(), is.Stats(), fs.Cycle(), fs.PC(), fs.Stats())
+		}
+		if deliver > 0 && deliver <= len(want) && fs.Reg(A(12)) != 1 {
+			t.Fatalf("deliver=%d: handler ran %d times, want 1", deliver, fs.Reg(A(12)))
+		}
+		if fs.EngineCounters().IndirectMisses == 0 {
+			t.Fatalf("deliver=%d: no run-time branch missed — the landing path was not exercised", deliver)
+		}
 	}
 }
 
@@ -583,12 +785,13 @@ func TestRunFusedCycleLimit(t *testing.T) {
 }
 
 // TestFusedNoEnterSegment: a region start that deoptimizes immediately
-// (unresolvable BREG) is excluded from the entry map so RunFused cannot
-// livelock re-entering a zero-progress segment.
+// (a predicated BREG through an untracked register) is excluded from the
+// entry map so RunFused cannot livelock re-entering a zero-progress
+// segment.
 func TestFusedNoEnterSegment(t *testing.T) {
 	packets := []Packet{
 		pk(Inst{Op: MVK, Unit: S1, Dst: A(7), Src2: Imm(4)}),
-		pk(Inst{Op: BREG, Unit: S1, Src1: R(A(7))}), // region start; A7 untracked
+		pk(Inst{Op: BREG, Unit: S1, Src1: R(A(7)), Pred: Pred{Valid: true, Reg: A(7)}}), // region start; A7 untracked
 		pk(Inst{Op: NOP, NopCycles: 5}),
 		pk(Inst{Op: MVK, Unit: S1, Dst: A(9), Src2: Imm(9)}), // skipped
 		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(1)}), // BREG target

@@ -52,26 +52,14 @@ func (s *Sim) FusedEntryOK() bool {
 	return s.fused.entryAt(s.pc) >= 0
 }
 
-// flushEntry materializes a boundary segment's in-flight window into
-// the ordinary pending list (pc and branch state are handled by the
-// caller's protocol).
-func flushEntry(s *Sim, seg *fseg) {
-	for _, fi := range seg.entryFlush {
-		if fi.pred && !s.fslotOn[fi.slot] {
-			continue
-		}
-		s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
-	}
-}
-
 // StepFused runs fused segments from the current state (the caller must
 // have checked FusedEntryOK) until the program halts, an op errors, the
 // hook stops or redirects execution, or a segment deoptimizes back to
 // the generic engines. The hook fires at every region-boundary segment
-// except the first: the caller enters StepFused having just performed
-// its own boundary actions there. With a nil hook the engine checks
-// MaxCycles itself at boundaries, producing the interpreter-flavored
-// limit error.
+// except the first (the caller enters StepFused having just performed
+// its own boundary actions there), and at a region start a run-time
+// branch exits onto. With a nil hook the engine checks MaxCycles itself
+// at those points, producing the interpreter-flavored limit error.
 //
 // On return the architectural state is always one the generic engines
 // can continue from bit-identically; stopped reports that the hook
@@ -91,26 +79,22 @@ func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 			if hook == nil {
 				if s.cycle > s.MaxCycles {
 					s.pc = seg.pkt
-					if seg.entryBr.valid {
-						s.brValid, s.brTgt, s.brCnt = true, seg.entryBr.tgt, seg.entryBr.cnt
-					}
-					flushEntry(s, seg)
+					seg.entryBr.restore(s)
+					materialize(s, seg.entryFlush)
 					return false, s.errf(seg.pkt, "cycle limit exceeded")
 				}
 			} else {
 				s.pc = seg.pkt
-				if seg.entryBr.valid {
-					s.brValid, s.brTgt, s.brCnt = true, seg.entryBr.tgt, seg.entryBr.cnt
-				}
+				seg.entryBr.restore(s)
 				stop, err := hook()
 				if err != nil || stop {
-					flushEntry(s, seg)
+					materialize(s, seg.entryFlush)
 					return stop, err
 				}
 				if s.pc != seg.pkt || s.halted {
 					// Redirected (interrupt delivery, debugger): hand the
 					// materialized state back; the caller re-dispatches.
-					flushEntry(s, seg)
+					materialize(s, seg.entryFlush)
 					return false, nil
 				}
 				if seg.entryBr.valid {
@@ -119,11 +103,14 @@ func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 			}
 		}
 		first = false
-		s.fnext = -1
+		s.fnext = fnextExit
 		for _, op := range seg.ops {
 			if err := op(s); err != nil {
 				return false, err
 			}
+		}
+		if s.fnext == fnextLanded {
+			return s.landBoundary(hook)
 		}
 		if s.fnext < 0 {
 			// Terminal materialized the state (deopt or halt).
@@ -131,6 +118,22 @@ func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 		}
 		si = s.fnext
 	}
+}
+
+// landBoundary performs, for a terminal that exited onto a region start
+// (fnextLanded), the boundary actions the generic loop performs after
+// its landing step: the hook, or the cycle limit without one. Skipping
+// them would let the caller re-enter fused code at that region start as
+// if they had run. The state is already materialized, so execution
+// leaves StepFused whatever the hook does.
+func (s *Sim) landBoundary(hook FusedHook) (bool, error) {
+	if hook != nil {
+		return hook()
+	}
+	if s.cycle > s.MaxCycles {
+		return false, s.errf(s.pc, "cycle limit exceeded")
+	}
+	return false, nil
 }
 
 // RunFused executes until HALT or error, preferring fused segments and

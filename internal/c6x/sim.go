@@ -87,22 +87,42 @@ type Sim struct {
 
 	// Fused-engine state (see fuse.go, fuserun.go). fused selects the
 	// superblock engine for RunFused/StepFused; fstall, fslotVal,
-	// fslotOn, fcond0, fnext and fusedPkt are segment-local scratch that
-	// is always drained (fstall) or dead by the time fused execution
-	// returns, so — like the compiled engine's scratch — it needs no
-	// checkpointing.
+	// fslotOn, fcond0, fbrTgt, fnext and fusedPkt are segment-local
+	// scratch that is always drained (fstall) or dead by the time fused
+	// execution returns, so — like the compiled engine's scratch — it
+	// needs no checkpointing.
 	fused       *FusedProgram
 	fstall      int64                // memory stalls since the last sync point
 	fslotVal    [fuseMaxSlots]uint32 // in-flight writeback values
 	fslotOn     [fuseMaxSlots]bool   // predicated producer executed
 	fcond0      bool                 // predicated-branch outcome for the segment terminal
-	fnext       int32                // next segment (-1 = exit fused execution)
+	fbrTgt      int                  // target of the run-time-target branch in flight
+	fnext       int32                // next segment (< 0: exit fused execution, see fnextExit)
 	fusedActive bool                 // inside StepFused (MemPkt source selector)
 	fusedPkt    int32                // packet of the store being performed (fused engine)
+
+	eng EngineCounters
 
 	// Speculative-execution checkpoint (see checkpoint.go).
 	ck checkpoint
 }
+
+// EngineCounters tell which host engine ran a Sim's packets. They are
+// host-side observability, not machine state: Stats, checkpoints and
+// rollbacks leave them alone, so a rolled-back speculation still counts.
+type EngineCounters struct {
+	// GenericPackets counts packets executed by Step (the interpreter or
+	// the packet compiler) rather than inside fused segments.
+	GenericPackets int64
+	// IndirectHits counts run-time-target branches that continued in a
+	// compiled continuation; IndirectMisses those that did not (a clean
+	// re-entry chain or an exit to the generic engine).
+	IndirectHits   int64
+	IndirectMisses int64
+}
+
+// EngineCounters returns the host-engine counters.
+func (s *Sim) EngineCounters() EngineCounters { return s.eng }
 
 // NewSim builds a simulator for prog with the given memory system.
 func NewSim(prog *Program, mem MemPort) *Sim {
@@ -196,6 +216,7 @@ func (s *Sim) Step() error {
 	pk := s.prog.Packets[pktIdx]
 	s.pc++
 	s.stats.Packets++
+	s.eng.GenericPackets++
 
 	if err := s.validatePacket(pktIdx, pk); err != nil {
 		return err

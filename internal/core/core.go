@@ -123,10 +123,11 @@ var (
 // superblock fuser (c6x.Fuse) tracks symbolically to resolve the
 // translator's indirect branches: the runtime-routine link register and
 // the source return-address register — calls park the translated return
-// packet index in both as plain MVK immediates. RegIRQShadow is
-// deliberately absent: its value is written by the platform at interrupt
-// entry, so the translated reti always deoptimizes to the generic
-// engine.
+// packet index in both as plain MVK immediates. The source
+// return-address register is reloaded from the stack before most
+// returns, which kills its constant; such returns, and the translated
+// reti through RegIRQShadow (written by the platform at interrupt
+// entry, never a constant), dispatch on their run-time target instead.
 func FusedConstRegs() []c6x.Reg {
 	return []c6x.Reg{regLink, aR(tc32.RA)}
 }

@@ -80,11 +80,11 @@ func (sys *System) Rollback() {
 	sys.CPU.Rollback()
 	for i := len(sys.undo) - 1; i >= 0; i-- {
 		u := &sys.undo[i]
-		b := sys.ram
 		if u.ctab {
-			b = sys.ctab
+			wr(sys.ctab, u.off, u.old, int(u.size))
+		} else {
+			sys.ramWrite(u.off, u.old, int(u.size))
 		}
-		wr(b, u.off, u.old, int(u.size))
 	}
 	sys.journaling = false
 	sys.undo = sys.undo[:0]
@@ -106,6 +106,6 @@ func (sys *System) Rollback() {
 }
 
 // journal records the bytes a store is about to overwrite.
-func (sys *System) journal(ctab bool, b []byte, off uint32, size int) {
-	sys.undo = append(sys.undo, memUndo{ctab: ctab, size: int32(size), off: off, old: rd(b, off, size)})
+func (sys *System) journal(ctab bool, off, old uint32, size int) {
+	sys.undo = append(sys.undo, memUndo{ctab: ctab, size: int32(size), off: off, old: old})
 }

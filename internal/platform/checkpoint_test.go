@@ -130,13 +130,69 @@ func TestPlatformRollbackRestoresRAM(t *testing.T) {
 	if err := a.RunUntil(64); err != nil {
 		t.Fatal(err)
 	}
-	snap := append([]byte(nil), a.ram...)
+	snap := flatRAM(a)
 	a.Checkpoint()
 	if err := a.RunUntil(512); err != nil {
 		t.Fatal(err)
 	}
 	a.Rollback()
-	if !reflect.DeepEqual(snap, a.ram) {
+	if !reflect.DeepEqual(snap, flatRAM(a)) {
 		t.Error("platform RAM not restored byte-exactly after rollback")
+	}
+}
+
+// flatRAM returns platform RAM as one slice, from the window's base to
+// the end of the highest allocated page; unallocated pages read as zero.
+func flatRAM(sys *System) []byte {
+	n := 0
+	for i, p := range sys.ram {
+		if p != nil {
+			n = i + 1
+		}
+	}
+	b := make([]byte, n*ramPageSize)
+	for i, p := range sys.ram[:n] {
+		if p != nil {
+			copy(b[i*ramPageSize:], p[:])
+		}
+	}
+	return b
+}
+
+// TestRAMPageStraddleRollback pins the demand-paged RAM at a page
+// boundary: a word stored across two unallocated pages reads back whole
+// and by halves, and rolling the store back leaves both pages reading
+// zero, exactly like the never-stored window.
+func TestRAMPageStraddleRollback(t *testing.T) {
+	sys := buildCk(t, EngineCompiled)
+	addr := sys.rBase + 101*ramPageSize - 2
+	if sys.ram[100] != nil || sys.ram[101] != nil {
+		t.Fatal("test pages already allocated")
+	}
+	load := func(a uint32, size int) uint32 {
+		v, _, err := sys.Load(a, size, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	sys.Checkpoint()
+	if _, err := sys.Store(addr, 0x11223344, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := load(addr, 4); got != 0x11223344 {
+		t.Fatalf("straddling word = %#x, want 0x11223344", got)
+	}
+	if lo, hi := load(addr, 2), load(addr+2, 2); lo != 0x3344 || hi != 0x1122 {
+		t.Fatalf("halves = %#x/%#x, want 0x3344/0x1122", lo, hi)
+	}
+	sys.Rollback()
+	if got := load(addr, 4); got != 0 {
+		t.Fatalf("straddling word after rollback = %#x, want 0", got)
+	}
+	for i, b := range flatRAM(sys)[100*ramPageSize : 102*ramPageSize] {
+		if b != 0 {
+			t.Fatalf("byte %d of the rolled-back pages = %#x, want 0", i, b)
+		}
 	}
 }

@@ -188,21 +188,21 @@ func TestFusedCheckpointRollbackExact(t *testing.T) {
 	}
 }
 
-// TestFusedRAMGrowthRollback pins the demand-grown RAM against the
-// write journal: speculative stores that grow the backing array revert
-// to zeros on rollback, indistinguishable from the virtual zero fill.
+// TestFusedRAMGrowthRollback pins the demand-paged RAM against the
+// write journal: speculative stores that allocate pages revert to zeros
+// on rollback, indistinguishable from the virtual zero fill.
 func TestFusedRAMGrowthRollback(t *testing.T) {
 	a := buildCk(t, EngineCompiled)
 	if err := a.RunUntil(64); err != nil {
 		t.Fatal(err)
 	}
-	snap := append([]byte(nil), a.ram...)
+	snap := flatRAM(a)
 	a.Checkpoint()
 	if err := a.RunUntil(512); err != nil {
 		t.Fatal(err)
 	}
 	a.Rollback()
-	got := a.ram
+	got := flatRAM(a)
 	if len(got) < len(snap) {
 		t.Fatalf("backing array shrank: %d < %d", len(got), len(snap))
 	}
@@ -212,6 +212,33 @@ func TestFusedRAMGrowthRollback(t *testing.T) {
 	for i := len(snap); i < len(got); i++ {
 		if got[i] != 0 {
 			t.Fatalf("grown RAM byte %d = %#x after rollback, want 0", i, got[i])
+		}
+	}
+}
+
+// TestFusedNoGenericPackets pins the fused engine's coverage: every
+// single-core workload at every level runs start to finish inside fused
+// segments, with no packet left to the generic engines — recursive
+// returns through a reloaded link register included (fibonacci).
+func TestFusedNoGenericPackets(t *testing.T) {
+	for _, w := range workload.All() {
+		f, err := tc32asm.Assemble(w.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range []core.Level{core.Level0, core.Level1, core.Level2, core.Level3} {
+			prog, err := core.Translate(f, core.Options{Level: level})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := New(prog)
+			if err := sys.Run(); err != nil {
+				t.Fatalf("%s L%d: %v", w.Name, int(level), err)
+			}
+			if ec := sys.CPU.EngineCounters(); ec.GenericPackets != 0 {
+				t.Errorf("%s L%d: %d of %d packets ran outside fused segments (%+v)",
+					w.Name, int(level), ec.GenericPackets, sys.Stats().Packets, ec)
+			}
 		}
 	}
 }

@@ -130,7 +130,7 @@ type System struct {
 
 	text  []byte // source code image (read-only data in .text)
 	tBase uint32
-	ram   []byte
+	ram   [ramPages]*ramPage // demand-allocated RAM window (nil pages read as zero)
 	rBase uint32
 	ctab  []byte // cache-table RAM in the emulation fabric
 	cBase uint32
@@ -227,10 +227,9 @@ func NewWithEngine(prog *core.Program, engine Engine) *System {
 	if prog.DataAddr != 0 {
 		sys.rBase = prog.DataAddr
 	}
-	if len(prog.DataImage) > 0 {
-		off := int(prog.DataAddr - sys.rBase)
-		sys.growRAM(off + len(prog.DataImage))
-		copy(sys.ram[off:], prog.DataImage)
+	for i, off := 0, prog.DataAddr-sys.rBase; i < len(prog.DataImage) && off < iss.RAMSize; {
+		n := copy(sys.page(off)[off&(ramPageSize-1):], prog.DataImage[i:])
+		i, off = i+n, off+uint32(n)
 	}
 	if prog.CacheTableWords > 0 {
 		sys.ctab = make([]byte, prog.CacheTableWords*4)
@@ -287,44 +286,58 @@ func wr(b []byte, off uint32, val uint32, size int) {
 	}
 }
 
-// Platform RAM is demand-grown: the full iss.RAMSize window is always
-// mapped (and reads as zero), but the backing array only extends to the
-// highest byte ever stored. Typical workloads touch a few KB of data,
-// so per-system construction stops allocating and zeroing 1 MB — which
-// dominated short benchmark runs as allocator/GC time.
+// Platform RAM is demand-paged: the full iss.RAMSize window is always
+// mapped and reads as zero, but only the 4 KiB pages ever stored to are
+// allocated. Typical workloads touch a few KiB of data at the bottom of
+// the window and a stack at its top, so a system costs a page or two of
+// RAM instead of allocating and zeroing 1 MiB — which dominated short
+// runs as allocator and GC time.
+const (
+	ramPageBits = 12
+	ramPageSize = 1 << ramPageBits
+	ramPages    = iss.RAMSize >> ramPageBits
+)
 
-// growRAM extends the backing array to at least need bytes (amortized
-// doubling), capped at the mapped window size.
-func (sys *System) growRAM(need int) {
-	n := 2 * len(sys.ram)
-	if n < 4096 {
-		n = 4096
-	}
-	if n < need {
-		n = need
-	}
-	if n > iss.RAMSize {
-		n = iss.RAMSize
-	}
-	nb := make([]byte, n)
-	copy(nb, sys.ram)
-	sys.ram = nb
-}
+type ramPage [ramPageSize]byte
 
-// ramRead reads size bytes at off from the RAM window; bytes beyond the
-// backing array are zero.
+// ramRead reads size bytes at off (off+size within the window); bytes of
+// unallocated pages are zero.
 func (sys *System) ramRead(off uint32, size int) uint32 {
-	b := sys.ram
-	if int(off)+size <= len(b) {
-		return rd(b, off, size)
-	}
-	var v uint32
-	for i := 0; i < size; i++ {
-		if j := int(off) + i; j < len(b) {
-			v |= uint32(b[j]) << (8 * i)
+	if o := off & (ramPageSize - 1); int(o)+size <= ramPageSize {
+		p := sys.ram[off>>ramPageBits]
+		if p == nil {
+			return 0
 		}
+		return rd(p[:], o, size)
+	}
+	var v uint32 // straddles a page boundary
+	for i := 0; i < size; i++ {
+		v |= sys.ramRead(off+uint32(i), 1) << (8 * i)
 	}
 	return v
+}
+
+// ramWrite stores size bytes at off (off+size within the window),
+// allocating the page on first store.
+func (sys *System) ramWrite(off, val uint32, size int) {
+	o := off & (ramPageSize - 1)
+	if int(o)+size > ramPageSize { // straddles a page boundary
+		for i := 0; i < size; i++ {
+			sys.ramWrite(off+uint32(i), val>>(8*i), 1)
+		}
+		return
+	}
+	wr(sys.page(off)[:], o, val, size)
+}
+
+// page returns the page holding off, allocating it on first use.
+func (sys *System) page(off uint32) *ramPage {
+	p := sys.ram[off>>ramPageBits]
+	if p == nil {
+		p = new(ramPage)
+		sys.ram[off>>ramPageBits] = p
+	}
+	return p
 }
 
 // emulatedNow returns the core's position on the emulated clock.
@@ -391,17 +404,14 @@ func (sys *System) Store(addr uint32, val uint32, size int, cycle int64) (int64,
 	switch {
 	case addr >= sys.rBase && addr-sys.rBase+uint32(size) <= uint32(iss.RAMSize):
 		off := addr - sys.rBase
-		if int(off)+size > len(sys.ram) {
-			sys.growRAM(int(off) + size)
-		}
 		if sys.journaling {
-			sys.journal(false, sys.ram, off, size)
+			sys.journal(false, off, sys.ramRead(off, size), size)
 		}
-		wr(sys.ram, off, val, size)
+		sys.ramWrite(off, val, size)
 		return cycle, nil
 	case sys.ctab != nil && addr >= sys.cBase && addr-sys.cBase+uint32(size) <= uint32(len(sys.ctab)):
 		if sys.journaling {
-			sys.journal(true, sys.ctab, addr-sys.cBase, size)
+			sys.journal(true, addr-sys.cBase, rd(sys.ctab, addr-sys.cBase, size), size)
 		}
 		wr(sys.ctab, addr-sys.cBase, val, size)
 		return cycle, nil
