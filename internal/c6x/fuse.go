@@ -176,12 +176,16 @@ func (st *fstate) key() string {
 
 // fseg is one compiled segment.
 type fseg struct {
-	pkt      int  // packet the segment's state sits at (pc at its boundary)
+	// pkt is the packet the segment's state sits at (pc at its boundary).
+	// An int32 beside the two flags keeps the struct in the 80-byte size
+	// class: fused programs are cached for the process lifetime.
+	pkt      int32
 	boundary bool // sits at a region start: the runner hook fires here
 	noEnter  bool // zero-progress (deopts immediately): not a re-entry point
 	entryBr  fbr
 	// entryFlush is the in-flight window at segment entry, flushed into
-	// Sim.pending when the hook stops or redirects execution here.
+	// Sim.pending when the hook stops or redirects execution here, and
+	// loaded back from it when fused execution resumes here.
 	entryFlush []finflight
 	ops        []fop
 }
@@ -198,6 +202,20 @@ type FusedProgram struct {
 	// hash lookup there.
 	entry   []int32
 	entries int
+	// resume indexes, sorted by packet, the boundary segments fused
+	// execution can re-enter with writebacks still in flight (a hook stop
+	// materialized them into Sim.pending), each with the constants it was
+	// compiled under. Sparse: only region starts some trace crosses with
+	// a non-empty window appear.
+	resume []fresume
+}
+
+// fresume is one in-flight re-entry point: segment seg at packet pkt,
+// valid while the register file holds facts.
+type fresume struct {
+	pkt   int32
+	seg   int32
+	facts []ffact
 }
 
 // Segments returns the number of compiled segments (introspection).
@@ -223,6 +241,7 @@ type fuser struct {
 	states  []fstate
 	index   map[string]int32
 	work    []int32
+	opBuf   []fop         // reused build buffer of a segment's ops
 	seeds   map[int]int32 // seed packet -> segment index
 	targets map[Reg][]int // run-time-target branch candidates per register
 }
@@ -277,7 +296,75 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 			fp.entries++
 		}
 	}
+	for si, seg := range f.segs {
+		if seg.boundary && len(seg.entryFlush) > 0 && !seg.entryBr.valid && !seg.noEnter {
+			fp.resume = append(fp.resume, fresume{pkt: seg.pkt, seg: int32(si), facts: f.states[si].facts})
+		}
+	}
+	sort.SliceStable(fp.resume, func(i, j int) bool { return fp.resume[i].pkt < fp.resume[j].pkt })
 	return fp, nil
+}
+
+// resumeAt returns the segment that continues s at its pc with s.pending
+// in flight: an indexed boundary segment whose entry window materializes
+// to exactly s.pending and whose constants hold in the register file. -1
+// if none.
+func (fp *FusedProgram) resumeAt(s *Sim) int32 {
+	pc := int32(s.pc)
+	i := sort.Search(len(fp.resume), func(i int) bool { return fp.resume[i].pkt >= pc })
+	for ; i < len(fp.resume) && fp.resume[i].pkt == pc; i++ {
+		r := &fp.resume[i]
+		if factsHold(s, r.facts) && s.matchWindow(fp.segs[r.seg].entryFlush, false) {
+			return r.seg
+		}
+	}
+	return -1
+}
+
+// factsHold reports whether every tracked constant holds in s.Regs. A
+// segment compiled under a constant resolves indirect branches through
+// it statically; entering it while the register holds another value
+// would branch to the wrong place.
+func factsHold(s *Sim, facts []ffact) bool {
+	for _, fa := range facts {
+		if s.Regs[fa.reg] != fa.val {
+			return false
+		}
+	}
+	return true
+}
+
+// matchWindow reports whether s.pending is exactly what materialize(fl)
+// produces at the current busy clock: the same registers landing at the
+// same cycles in the same order, a predicated entry present or absent.
+// With load set it also moves the values into the fused slots (a
+// predicated entry's presence into fslotOn) and empties s.pending.
+func (s *Sim) matchWindow(fl []finflight, load bool) bool {
+	j := 0
+	for _, fi := range fl {
+		on := j < len(s.pending) && s.pending[j].reg == fi.reg && s.pending[j].commitAt-s.busy == fi.rel
+		if !on && !fi.pred {
+			return false
+		}
+		if load {
+			if fi.pred {
+				s.fslotOn[fi.slot] = on
+			}
+			if on {
+				s.fslotVal[fi.slot] = s.pending[j].val
+			}
+		}
+		if on {
+			j++
+		}
+	}
+	if j != len(s.pending) {
+		return false
+	}
+	if load {
+		s.pending = s.pending[:0]
+	}
+	return true
 }
 
 // state interns a symbolic state, scheduling compilation on first use.
@@ -323,10 +410,11 @@ type fctx struct {
 func (f *fuser) compileSeg(si int32) {
 	st := f.states[si]
 	seg := f.segs[si]
-	seg.pkt = st.pkt
+	seg.pkt = int32(st.pkt)
 	seg.entryBr = st.br
 	seg.entryFlush = append([]finflight(nil), st.inflight...)
 	seg.boundary = f.regionAt(st.pkt) >= 0
+	seg.ops = f.opBuf[:0]
 
 	c := &fctx{
 		f:        f,
@@ -371,6 +459,11 @@ func (f *fuser) compileSeg(si int32) {
 		pkt = pl.next
 	}
 	seg.noEnter = !c.progress
+	// The ops were built in the reused buffer; keep an exact-size copy.
+	// Fused programs are cached for the process lifetime, so growth
+	// slack would be retained with them.
+	f.opBuf = seg.ops[:0]
+	seg.ops = slices.Clone(seg.ops)
 }
 
 // stateAt interns the continuation state at pkt with the current

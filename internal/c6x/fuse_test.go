@@ -584,53 +584,6 @@ func TestFusedInflightAcrossBoundary(t *testing.T) {
 	runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0, 4)}, packets...)
 }
 
-// TestStepFusedHookStopResume: stopping at every boundary and resuming
-// (fused when possible, generic otherwise) is bit-identical to a pure
-// interpreter run.
-func TestStepFusedHookStopResume(t *testing.T) {
-	packets := []Packet{
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(8), Src2: Imm(5)}),
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(9), Src2: Imm(0)}),
-		pk(Inst{Op: ADD, Unit: L1, Dst: A(9), Src1: R(A(9)), Src2: R(A(8))}), // loop head
-		pk(Inst{Op: SUB, Unit: L1, Dst: A(8), Src1: R(A(8)), Src2: Imm(1)}),
-		pk(Inst{Op: BPKT, Unit: S1, Target: 2, Pred: Pred{Valid: true, Reg: A(8)}}),
-		pk(Inst{Op: NOP, NopCycles: 5}),
-		pk(Inst{Op: HALT}),
-	}
-
-	is := NewSim(&Program{Packets: packets}, newTestMem())
-	if err := is.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	fprog := &Program{Packets: packets}
-	fs := NewSim(fprog, newTestMem())
-	fp := mustFuse(t, fprog, FuseConfig{RegionOf: regions(len(packets), 0, 2)})
-	if err := fs.UseFused(fp); err != nil {
-		t.Fatal(err)
-	}
-	stops := 0
-	hook := func() (bool, error) { stops++; return true, nil }
-	for !fs.Halted() {
-		if fs.FusedEntryOK() {
-			if _, err := fs.StepFused(hook); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		if err := fs.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if stops == 0 {
-		t.Fatal("hook never fired")
-	}
-	if is.Regs != fs.Regs || is.Cycle() != fs.Cycle() || is.Stats() != fs.Stats() || is.PC() != fs.PC() {
-		t.Fatalf("state divergence after hook stops:\n  interp: regs=%v cycle=%d pc=%d %+v\n  fused:  regs=%v cycle=%d pc=%d %+v",
-			is.Regs, is.Cycle(), is.PC(), is.Stats(), fs.Regs, fs.Cycle(), fs.PC(), fs.Stats())
-	}
-}
-
 // TestStepFusedHookRedirect: a hook that redirects the pc (interrupt
 // delivery, debugger) gets a materialized state the generic engine
 // continues from, identical to redirecting the interpreter at the same
@@ -759,6 +712,231 @@ func TestStepFusedStopWithInflight(t *testing.T) {
 	}
 	if fs.Reg(A(2)) != 0x2A || fs.Reg(A(3)) != 0x54 {
 		t.Fatalf("load writeback lost: A2=%#x A3=%#x", fs.Reg(A(2)), fs.Reg(A(3)))
+	}
+}
+
+// inflightLoopProg counts a loop down from 4 with a load in flight at
+// every region start after the first pass: the loop head (4) and the
+// exit (9) are entered with the LDW into A31 issued in the branch's
+// last delay slot still pending, like a translated region's sync drain.
+func inflightLoopProg() []Packet {
+	return []Packet{
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(5), Src2: Imm(0x100)}), // 0: region start
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(0x2A)}),
+		pk(Inst{Op: STW, Unit: D1, Data: A(1), Src1: R(A(5)), Src2: Imm(0)}),
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(8), Src2: Imm(4)}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(9), Src1: R(A(9)), Src2: R(A(8))}), // 4: loop head
+		pk(Inst{Op: SUB, Unit: L1, Dst: A(8), Src1: R(A(8)), Src2: Imm(1)}),
+		pk(Inst{Op: BPKT, Unit: S1, Target: 4, Pred: Pred{Valid: true, Reg: A(8)}}),
+		pk(Inst{Op: NOP, NopCycles: 4}),
+		pk(Inst{Op: LDW, Unit: D1, Dst: A(31), Src1: R(A(5)), Src2: Imm(0)}),  // in flight at 4 and 9
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(10), Src1: R(A(10)), Src2: Imm(1)}), // 9: exit
+		pk(Inst{Op: NOP, NopCycles: 5}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(3), Src1: R(A(31)), Src2: R(A(31))}),
+		pk(Inst{Op: HALT}),
+	}
+}
+
+// runStopping drives s the way the SoC quantum loop does when every
+// quantum ends at the next region boundary: fused segments whenever
+// FusedEntryOK allows, a hook that stops at every boundary, generic
+// steps otherwise. onStop, if set, runs after each stop.
+func runStopping(t *testing.T, s *Sim, onStop func()) (stops int) {
+	t.Helper()
+	hook := func() (bool, error) { return true, nil }
+	for steps := 0; !s.Halted(); steps++ {
+		if steps > 10_000 {
+			t.Fatal("runaway")
+		}
+		if !s.FusedEntryOK() {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		stopped, err := s.StepFused(hook)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stopped {
+			stops++
+			if onStop != nil {
+				onStop()
+			}
+		}
+	}
+	return stops
+}
+
+// fusedSim attaches the fusion of packets under cfg to a fresh Sim.
+func fusedSim(t *testing.T, cfg FuseConfig, packets []Packet) *Sim {
+	t.Helper()
+	prog := &Program{Packets: packets}
+	s := NewSim(prog, newTestMem())
+	if err := s.UseFused(mustFuse(t, prog, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// sameState fails unless the two Sims agree on registers, pc, clock and
+// statistics.
+func sameState(t *testing.T, label string, want, got *Sim) {
+	t.Helper()
+	if want.Regs != got.Regs || want.Cycle() != got.Cycle() || want.Stats() != got.Stats() || want.PC() != got.PC() {
+		t.Fatalf("%s: state divergence:\n  want: regs=%v cycle=%d pc=%d %+v\n  got:  regs=%v cycle=%d pc=%d %+v",
+			label, want.Regs, want.Cycle(), want.PC(), want.Stats(), got.Regs, got.Cycle(), got.PC(), got.Stats())
+	}
+}
+
+// TestStepFusedHookStopResume: stopping at every boundary and resuming
+// is bit-identical to a pure interpreter run and never leaves fused
+// code. With a load in flight at a stop, the stop materializes it into
+// the pending window and fusion resumes with the value loaded back into
+// its slot.
+func TestStepFusedHookStopResume(t *testing.T) {
+	loop := []Packet{
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(8), Src2: Imm(5)}),
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(9), Src2: Imm(0)}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(9), Src1: R(A(9)), Src2: R(A(8))}), // loop head
+		pk(Inst{Op: SUB, Unit: L1, Dst: A(8), Src1: R(A(8)), Src2: Imm(1)}),
+		pk(Inst{Op: BPKT, Unit: S1, Target: 2, Pred: Pred{Valid: true, Reg: A(8)}}),
+		pk(Inst{Op: NOP, NopCycles: 5}),
+		pk(Inst{Op: HALT}),
+	}
+	for _, tc := range []struct {
+		name           string
+		packets        []Packet
+		starts         []int
+		stops, resumes int64
+	}{
+		{"clean", loop, []int{0, 2}, 5, 0},
+		{"inflight", inflightLoopProg(), []int{0, 4, 9}, 5, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			is := NewSim(&Program{Packets: tc.packets}, newTestMem())
+			if err := is.Run(); err != nil {
+				t.Fatal(err)
+			}
+			fs := fusedSim(t, FuseConfig{RegionOf: regions(len(tc.packets), tc.starts...)}, tc.packets)
+			stops := runStopping(t, fs, nil)
+			sameState(t, "after hook stops", is, fs)
+			if ec := fs.EngineCounters(); int64(stops) != tc.stops || ec.Resumes != tc.resumes || ec.GenericPackets != 0 {
+				t.Fatalf("%d stops, %+v: want %d stops, %d resumes, no generic packets", stops, ec, tc.stops, tc.resumes)
+			}
+		})
+	}
+}
+
+// TestFusedResumeFactsGuard: two call sites enter the region at 12 with
+// the same load in flight but different return addresses MVKed into the
+// tracked B3, so two boundary segments there share the entry window and
+// differ only in the constant their BREG was resolved with. A stop at 12
+// on either call must resume in the segment whose constant B3 holds;
+// whichever of the two the index lists first is wrong for one call.
+func TestFusedResumeFactsGuard(t *testing.T) {
+	packets := []Packet{
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(5), Src2: Imm(0x100)}), // 0: region start
+		pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(6)}),     // return to 6
+		pk(Inst{Op: BPKT, Unit: S1, Target: 12}),
+		pk(Inst{Op: NOP, NopCycles: 4}),
+		pk(Inst{Op: LDW, Unit: D1, Dst: A(31), Src1: R(A(5)), Src2: Imm(0)}), // in flight at 12
+		pk(Inst{Op: HALT}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(10), Src1: R(A(10)), Src2: Imm(1)}), // 6: first return site
+		pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(14)}),                 // return to 14
+		pk(Inst{Op: BPKT, Unit: S1, Target: 12}),
+		pk(Inst{Op: NOP, NopCycles: 4}),
+		pk(Inst{Op: LDW, Unit: D1, Dst: A(31), Src1: R(A(5)), Src2: Imm(0)}), // in flight at 12
+		pk(Inst{Op: HALT}),
+		pk(Inst{Op: BREG, Unit: S2, Src1: R(B(3))}), // 12: callee, returns through B3
+		pk(Inst{Op: NOP, NopCycles: 5}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(11), Src1: R(A(11)), Src2: Imm(1)}), // 14: second return site
+		pk(Inst{Op: HALT}),
+	}
+	cfg := FuseConfig{RegionOf: regions(len(packets), 0, 6, 12, 14), ConstRegs: []Reg{B(3)}}
+	fp := mustFuse(t, &Program{Packets: packets}, cfg)
+	if n := len(fp.resume); n != 2 || fp.resume[0].pkt != 12 || fp.resume[1].pkt != 12 {
+		t.Fatalf("resume index %+v: want two entries at packet 12", fp.resume)
+	}
+
+	is := NewSim(&Program{Packets: packets}, newTestMem())
+	if err := is.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fs := fusedSim(t, cfg, packets)
+	runStopping(t, fs, nil)
+	sameState(t, "facts guard", is, fs)
+	if fs.Reg(A(10)) != 1 || fs.Reg(A(11)) != 1 {
+		t.Fatalf("A10=%d A11=%d: each return site must run once", fs.Reg(A(10)), fs.Reg(A(11)))
+	}
+	if ec := fs.EngineCounters(); ec.Resumes != 2 || ec.GenericPackets != 0 {
+		t.Fatalf("%+v: want 2 resumes and no generic packets", ec)
+	}
+}
+
+// TestFusedResumeRollback: the parallel SoC scheduler's pattern at a stop
+// with a load in flight — checkpoint, speculate through a resume to the
+// next stop, roll back, resume again. The rollback must restore the
+// stopped state byte-exactly (pending window included), and the
+// re-execution must reproduce the speculation. Memory is not part of
+// the CPU checkpoint; the program stores only before the first stop.
+func TestFusedResumeRollback(t *testing.T) {
+	packets := inflightLoopProg()
+	is := NewSim(&Program{Packets: packets}, newTestMem())
+	if err := is.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fs := fusedSim(t, FuseConfig{RegionOf: regions(len(packets), 0, 4, 9)}, packets)
+	snap := func() checkpoint {
+		return checkpoint{
+			regs: fs.Regs, pc: fs.pc, cycle: fs.cycle, busy: fs.busy, halted: fs.halted,
+			pending: append([]writeback(nil), fs.pending...),
+			brValid: fs.brValid, brTgt: fs.brTgt, brCnt: fs.brCnt, stats: fs.stats,
+		}
+	}
+	speculate := func() checkpoint {
+		if !fs.FusedEntryOK() {
+			t.Fatalf("pc %d pending %v: no fused entry at a stop", fs.pc, fs.pending)
+		}
+		if _, err := fs.StepFused(func() (bool, error) { return true, nil }); err != nil {
+			t.Fatal(err)
+		}
+		return snap()
+	}
+	// At each stop with a load in flight: checkpoint, speculate to the
+	// next stop, roll back. runStopping then re-executes, and the next
+	// stop must match the speculation.
+	var want *checkpoint
+	rollbacks := 0
+	runStopping(t, fs, func() {
+		if want != nil {
+			if got := snap(); !reflect.DeepEqual(*want, got) {
+				t.Fatalf("re-execution diverged from the speculation:\n  spec: %+v\n  got:  %+v", *want, got)
+			}
+			want = nil
+		}
+		if len(fs.pending) == 0 {
+			return
+		}
+		rollbacks++
+		before := snap()
+		fs.Checkpoint()
+		spec := speculate()
+		fs.Rollback()
+		if after := snap(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("rollback at pc %d not exact:\n  before: %+v\n  after:  %+v", before.pc, before, after)
+		}
+		want = &spec
+	})
+	if want != nil && !reflect.DeepEqual(*want, snap()) {
+		t.Fatalf("re-execution to the halt diverged from the speculation:\n  spec: %+v\n  got:  %+v", *want, snap())
+	}
+	sameState(t, "rollback", is, fs)
+	if rollbacks != 4 {
+		t.Fatalf("%d stops with a load in flight, want 4", rollbacks)
+	}
+	if ec := fs.EngineCounters(); ec.GenericPackets != 0 {
+		t.Fatalf("%+v: want no generic packets", ec)
 	}
 }
 

@@ -23,7 +23,7 @@ type FusedHook func() (stop bool, err error)
 
 // UseFused attaches a fused program. The Sim keeps executing through
 // Step/Run as before; fused execution only engages through
-// RunFused/StepFused at clean region entries.
+// RunFused/StepFused at compiled entries (see FusedEntryOK).
 func (s *Sim) UseFused(fp *FusedProgram) error {
 	if fp == nil || fp.prog != s.prog {
 		return fmt.Errorf("c6x: fused program does not match the simulator's program")
@@ -41,15 +41,26 @@ func (s *Sim) UseFused(fp *FusedProgram) error {
 func (s *Sim) Fused() bool { return s.fused != nil }
 
 // FusedEntryOK reports whether fused execution can engage at the
-// current state: a clean machine state (no pending branch, no in-flight
-// writebacks) at a compiled re-entry point. After a deopt the state is
-// intentionally not clean mid-region; the generic engine carries it to
-// the next boundary where fusion re-engages.
-func (s *Sim) FusedEntryOK() bool {
-	if s.fused == nil || s.halted || s.brValid || len(s.pending) != 0 {
-		return false
+// current state: no pending branch, at a compiled re-entry point. With
+// nothing in flight that is the packet's clean entry segment. A hook stop
+// or a deopt leaves in-flight writebacks in the pending window; fusion
+// then resumes at a region start whose boundary segment was compiled
+// with exactly that window and under constants the register file still
+// holds. Mid-region the generic engine carries the state to the next
+// boundary.
+func (s *Sim) FusedEntryOK() bool { return s.fusedEntry() >= 0 }
+
+// fusedEntry is the entry lookup FusedEntryOK and StepFused share: the
+// segment fused execution enters at the current state, or -1.
+func (s *Sim) fusedEntry() int32 {
+	if s.fused == nil || s.halted || s.brValid {
+		return -1
 	}
-	return s.fused.entryAt(s.pc) >= 0
+	si := s.fused.entryAt(s.pc)
+	if si < 0 || len(s.pending) == 0 {
+		return si
+	}
+	return s.fused.resumeAt(s)
 }
 
 // StepFused runs fused segments from the current state (the caller must
@@ -66,32 +77,36 @@ func (s *Sim) FusedEntryOK() bool {
 // ended the run (as opposed to a deopt, redirect or halt).
 func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 	fp := s.fused
-	si := fp.entryAt(s.pc)
+	si := s.fusedEntry()
 	if si < 0 {
 		return false, fmt.Errorf("c6x: StepFused at pc %d: not a fused entry", s.pc)
+	}
+	if len(s.pending) != 0 {
+		s.matchWindow(fp.segs[si].entryFlush, true)
+		s.eng.Resumes++
 	}
 	s.fusedActive = true
 	defer func() { s.fusedActive = false }()
 	first := true
 	for {
 		seg := fp.segs[si]
-		if seg.boundary && !first {
+		if pkt := int(seg.pkt); seg.boundary && !first {
 			if hook == nil {
 				if s.cycle > s.MaxCycles {
-					s.pc = seg.pkt
+					s.pc = pkt
 					seg.entryBr.restore(s)
 					materialize(s, seg.entryFlush)
-					return false, s.errf(seg.pkt, "cycle limit exceeded")
+					return false, s.errf(pkt, "cycle limit exceeded")
 				}
 			} else {
-				s.pc = seg.pkt
+				s.pc = pkt
 				seg.entryBr.restore(s)
 				stop, err := hook()
 				if err != nil || stop {
 					materialize(s, seg.entryFlush)
 					return stop, err
 				}
-				if s.pc != seg.pkt || s.halted {
+				if s.pc != pkt || s.halted {
 					// Redirected (interrupt delivery, debugger): hand the
 					// materialized state back; the caller re-dispatches.
 					materialize(s, seg.entryFlush)
@@ -137,8 +152,8 @@ func (s *Sim) landBoundary(hook FusedHook) (bool, error) {
 }
 
 // RunFused executes until HALT or error, preferring fused segments and
-// falling back to generic steps between a deopt and the next clean
-// region entry. Semantically identical to Run.
+// falling back to generic steps between a deopt and the next compiled
+// entry. Semantically identical to Run.
 func (s *Sim) RunFused() error {
 	for !s.halted {
 		if s.cycle > s.MaxCycles {

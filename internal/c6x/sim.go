@@ -119,6 +119,9 @@ type EngineCounters struct {
 	// re-entry chain or an exit to the generic engine).
 	IndirectHits   int64
 	IndirectMisses int64
+	// Resumes counts fused entries that loaded a non-empty pending
+	// window back into fused slots (after a hook stop or a deopt).
+	Resumes int64
 }
 
 // EngineCounters returns the host-engine counters.

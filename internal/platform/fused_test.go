@@ -114,36 +114,50 @@ func TestFusedIRQDeferredToBoundary(t *testing.T) {
 
 // TestFusedRunUntilQuantum: quantum-driven execution (the SoC
 // scheduler's path) stops the fused engine at the same clock positions
-// as the unfused engine, for pathological quantum sizes included.
+// as the unfused engine, for pathological quantum sizes included, at
+// every level with cycle regions. A quantum stop leaves the region's
+// sync-drain load in flight; fused execution must resume there, so
+// fewer than 1% of the packets may run in the generic engines.
 func TestFusedRunUntilQuantum(t *testing.T) {
 	w, _ := workload.ByName("sieve")
 	f, err := tc32asm.Assemble(w.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
+	levels := []core.Level{core.Level1, core.Level2, core.Level3}
+	progs := make([]*core.Program, len(levels))
+	for i, level := range levels {
+		if progs[i], err = core.Translate(f, core.Options{Level: level}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, quantum := range []int64{1, 3, 64, 1024} {
 		t.Run(fmt.Sprintf("q%d", quantum), func(t *testing.T) {
-			prog, err := core.Translate(f, core.Options{Level: core.Level2})
-			if err != nil {
-				t.Fatal(err)
+			for i, prog := range progs {
+				t.Run(fmt.Sprintf("L%d", int(levels[i])), func(t *testing.T) {
+					a := NewWithEngine(prog, EngineCompiled)
+					b := NewWithEngine(prog, EngineCompiledNoFuse)
+					for limit := quantum; !a.CPU.Halted() || !b.CPU.Halted(); limit += quantum {
+						if err := a.RunUntil(limit); err != nil {
+							t.Fatalf("fused: %v", err)
+						}
+						if err := b.RunUntil(limit); err != nil {
+							t.Fatalf("nofuse: %v", err)
+						}
+						if a.Now() != b.Now() {
+							t.Fatalf("limit %d: clock %d vs %d", limit, a.Now(), b.Now())
+						}
+						if limit > 10_000_000 {
+							t.Fatal("runaway")
+						}
+					}
+					comparePlat(t, "final", a, b)
+					generic, packets := a.CPU.EngineCounters().GenericPackets, a.Stats().Packets
+					if 100*generic >= packets {
+						t.Errorf("%d of %d packets ran outside fused segments, want < 1%%", generic, packets)
+					}
+				})
 			}
-			a := NewWithEngine(prog, EngineCompiled)
-			b := NewWithEngine(prog, EngineCompiledNoFuse)
-			for limit := quantum; !a.CPU.Halted() || !b.CPU.Halted(); limit += quantum {
-				if err := a.RunUntil(limit); err != nil {
-					t.Fatalf("fused: %v", err)
-				}
-				if err := b.RunUntil(limit); err != nil {
-					t.Fatalf("nofuse: %v", err)
-				}
-				if a.Now() != b.Now() {
-					t.Fatalf("limit %d: clock %d vs %d", limit, a.Now(), b.Now())
-				}
-				if limit > 10_000_000 {
-					t.Fatal("runaway")
-				}
-			}
-			comparePlat(t, "final", a, b)
 		})
 	}
 }

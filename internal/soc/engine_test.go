@@ -63,3 +63,38 @@ func engineEquivalence(t *testing.T, mw workload.MultiWorkload, quantum int64, u
 		}
 	}
 }
+
+// TestFusedCoverage pins how much of a multi-core run the fused engine
+// covers: over every multi-core workload × quanta {16, 64, 256}, fewer
+// than 1% of the translated cores' packets may run in the generic
+// engines at each level. A quantum stop leaves the sync-drain load in
+// flight, so this fails unless fused execution resumes with writebacks
+// pending. The parallel scheduler (checkpoint, speculate, roll back) is
+// covered at one quantum.
+func TestFusedCoverage(t *testing.T) {
+	type run struct {
+		quantum  int64
+		parallel bool
+	}
+	runs := []run{{16, false}, {64, false}, {256, false}, {64, true}}
+	for _, level := range []core.Level{core.Level1, core.Level2, core.Level3} {
+		var generic, packets int64
+		for _, mw := range workload.MCAll(4) {
+			for _, r := range runs {
+				cfg := buildConfig(t, mw, r.quantum, []bool{false}, core.Options{Level: level})
+				cfg.Parallel = r.parallel
+				s := mustRun(t, cfg, fmt.Sprintf("%s/L%d/q%d", mw.Name, int(level), r.quantum))
+				verifyOutputs(t, mw, s, mw.Name)
+				for _, c := range s.cores {
+					generic += c.plat.CPU.EngineCounters().GenericPackets
+					packets += c.plat.CPU.Stats().Packets
+				}
+			}
+		}
+		share := 100 * float64(generic) / float64(packets)
+		t.Logf("L%d: %d of %d packets generic (%.2f%%)", int(level), generic, packets, share)
+		if share >= 1 {
+			t.Errorf("L%d: %.2f%% of packets ran outside fused segments, want < 1%%", int(level), share)
+		}
+	}
+}
